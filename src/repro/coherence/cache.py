@@ -7,13 +7,18 @@ lines additionally carry directory state, attached by the L2 controller).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generic, List, Optional, TypeVar
+from functools import lru_cache
+from typing import Callable, Dict, Generic, List, Optional, Tuple, TypeVar
 
 L = TypeVar("L")
 
 
 class PseudoLruTree:
-    """Binary-tree pseudo-LRU for a power-of-two number of ways."""
+    """Binary-tree pseudo-LRU for a power-of-two number of ways.
+
+    The reference model: :class:`CacheArray` keeps the same tree as one
+    int per set, driven by the tables of :func:`plru_tables`.
+    """
 
     def __init__(self, ways: int) -> None:
         if ways < 1 or ways & (ways - 1):
@@ -54,15 +59,45 @@ class PseudoLruTree:
         return base
 
 
-class CacheSet(Generic[L]):
-    """One set: way -> line object (``None`` for empty ways)."""
+#: Largest way count with a pseudo-LRU victim table (2**(ways-1) entries).
+MAX_WAYS = 16
 
-    __slots__ = ("lines", "addrs", "plru")
 
-    def __init__(self, ways: int) -> None:
-        self.lines: List[Optional[L]] = [None] * ways
-        self.addrs: List[Optional[int]] = [None] * ways
-        self.plru = PseudoLruTree(ways)
+@lru_cache(maxsize=None)
+def plru_tables(ways: int) -> Tuple[Tuple[Tuple[int, int], ...], bytes]:
+    """``(touch, victim)`` tables of the tree pseudo-LRU over ``ways`` ways.
+
+    One set's state is an int whose bit ``n`` is node ``n`` of
+    :class:`PseudoLruTree` (heap order: node ``n`` has children ``2n+1``
+    and ``2n+2``, and a set bit points the victim search right).
+    ``state & clear | set_`` with ``(clear, set_) = touch[way]`` points
+    every node on ``way``'s path away from it, and ``victim[state]`` is
+    the way the bits lead to.  Built once per way count.
+    """
+    if ways < 1 or ways & (ways - 1):
+        raise ValueError("pseudo-LRU needs a power-of-two way count")
+    if ways > MAX_WAYS:
+        raise ValueError(f"pseudo-LRU supports at most {MAX_WAYS} ways")
+    nodes = ways - 1
+    full = (1 << nodes) - 1
+    touch = []
+    for way in range(ways):
+        path = set_ = 0
+        node = way + nodes  # the way's leaf
+        while node:
+            parent = (node - 1) // 2
+            path |= 1 << parent
+            if node == 2 * parent + 1:  # used the left half: point right
+                set_ |= 1 << parent
+            node = parent
+        touch.append((full ^ path, set_))
+    victim = bytearray(1 << nodes)
+    for state in range(1 << nodes):
+        node = 0
+        while node < nodes:
+            node = 2 * node + 1 + (state >> node & 1)
+        victim[state] = node - nodes
+    return tuple(touch), bytes(victim)
 
 
 class CacheArray(Generic[L]):
@@ -72,6 +107,12 @@ class CacheArray(Generic[L]):
     N-node chip only sees every N-th block, so its set index must use the
     bank-local block number (block // N) or only 1/N of its sets would
     ever be occupied.
+
+    The array is dense: way ``w`` of set ``s`` is slot ``s * ways + w`` of
+    the flat ``_lines``/``_addrs`` lists, and each set's pseudo-LRU state
+    is one int in ``_plru`` (see :func:`plru_tables`).  Nothing is
+    allocated per set, so a 1 MB bank is a handful of lists rather than
+    thousands of objects for the cyclic garbage collector to traverse.
     """
 
     def __init__(self, sets: int, ways: int, line_bytes: int,
@@ -82,43 +123,60 @@ class CacheArray(Generic[L]):
         self.ways = ways
         self.line_bytes = line_bytes
         self.block_stride = block_stride
-        self._sets: List[CacheSet[L]] = [CacheSet(ways) for _ in range(sets)]
-        #: addr -> (set_index, way) for O(1) lookup.
+        self._block_bytes = line_bytes * block_stride
+        self._touch, self._victim = plru_tables(ways)
+        self._lines: List[Optional[L]] = [None] * (sets * ways)
+        self._addrs: List[Optional[int]] = [None] * (sets * ways)
+        self._plru: List[int] = [0] * sets
+        #: addr -> way within its set, for O(1) lookup.
         self._where: Dict[int, int] = {}
 
     def set_index(self, addr: int) -> int:
-        return (addr // self.line_bytes // self.block_stride) % self.sets
+        return addr // self._block_bytes % self.sets
 
     def lookup(self, addr: int) -> Optional[L]:
         way = self._where.get(addr)
         if way is None:
             return None
-        cache_set = self._sets[self.set_index(addr)]
-        cache_set.plru.touch(way)
-        return cache_set.lines[way]
+        index = addr // self._block_bytes % self.sets
+        clear, set_ = self._touch[way]
+        plru = self._plru
+        plru[index] = plru[index] & clear | set_
+        return self._lines[index * self.ways + way]
 
     def peek(self, addr: int) -> Optional[L]:
         """Lookup without updating recency."""
         way = self._where.get(addr)
         if way is None:
             return None
-        return self._sets[self.set_index(addr)].lines[way]
+        return self._lines[addr // self._block_bytes % self.sets * self.ways
+                           + way]
+
+    def try_install(self, addr: int, line: L) -> bool:
+        """Place ``line`` at the first free way; False if the set is full."""
+        index = addr // self._block_bytes % self.sets
+        base = index * self.ways
+        lines = self._lines
+        try:
+            slot = lines.index(None, base, base + self.ways)
+        except ValueError:
+            return False
+        lines[slot] = line
+        self._addrs[slot] = addr
+        way = slot - base
+        self._where[addr] = way
+        clear, set_ = self._touch[way]
+        self._plru[index] = self._plru[index] & clear | set_
+        return True
 
     def install(self, addr: int, line: L) -> None:
         """Place ``line`` at a free way; caller must have evicted first."""
-        cache_set = self._sets[self.set_index(addr)]
-        for way, existing in enumerate(cache_set.lines):
-            if existing is None:
-                cache_set.lines[way] = line
-                cache_set.addrs[way] = addr
-                self._where[addr] = way
-                cache_set.plru.touch(way)
-                return
-        raise ValueError(f"no free way in set {self.set_index(addr)}")
+        if not self.try_install(addr, line):
+            raise ValueError(f"no free way in set {self.set_index(addr)}")
 
     def has_free_way(self, addr: int) -> bool:
-        cache_set = self._sets[self.set_index(addr)]
-        return any(line is None for line in cache_set.lines)
+        base = addr // self._block_bytes % self.sets * self.ways
+        return None in self._lines[base:base + self.ways]
 
     def choose_victim(
         self, addr: int, evictable: Callable[[L], bool]
@@ -128,23 +186,25 @@ class CacheArray(Generic[L]):
         Walks ways starting from the PLRU choice so busy (non-evictable)
         lines are skipped; returns None when every way is unevictable.
         """
-        cache_set = self._sets[self.set_index(addr)]
-        start = cache_set.plru.victim()
+        index = addr // self._block_bytes % self.sets
+        base = index * self.ways
+        start = self._victim[self._plru[index]]
+        lines = self._lines
         for offset in range(self.ways):
-            way = (start + offset) % self.ways
-            line = cache_set.lines[way]
+            slot = base + (start + offset) % self.ways
+            line = lines[slot]
             if line is not None and evictable(line):
-                return cache_set.addrs[way]
+                return self._addrs[slot]
         return None
 
     def remove(self, addr: int) -> Optional[L]:
         way = self._where.pop(addr, None)
         if way is None:
             return None
-        cache_set = self._sets[self.set_index(addr)]
-        line = cache_set.lines[way]
-        cache_set.lines[way] = None
-        cache_set.addrs[way] = None
+        slot = addr // self._block_bytes % self.sets * self.ways + way
+        line = self._lines[slot]
+        self._lines[slot] = None
+        self._addrs[slot] = None
         return line
 
     def occupancy(self) -> int:
@@ -152,10 +212,9 @@ class CacheArray(Generic[L]):
 
     def items(self):
         """Yield every resident ``(addr, line)`` pair, recency untouched."""
-        for cache_set in self._sets:
-            for addr, line in zip(cache_set.addrs, cache_set.lines):
-                if addr is not None:
-                    yield addr, line
+        for addr, line in zip(self._addrs, self._lines):
+            if addr is not None:
+                yield addr, line
 
     def __contains__(self, addr: int) -> bool:
         return addr in self._where

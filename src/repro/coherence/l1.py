@@ -78,10 +78,7 @@ class L1Controller(ScheduledController):
         """Install a line directly (functional warmup); False if set full."""
         if addr in self.array:
             return True
-        if not self.array.has_free_way(addr):
-            return False
-        self.array.install(addr, L1Line(state))
-        return True
+        return self.array.try_install(addr, L1Line(state))
 
     # ------------------------------------------------------------------
     # Core-facing interface.

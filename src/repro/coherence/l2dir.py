@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from functools import partial
-from typing import Callable, Deque, Dict, Optional, Set
+from typing import AbstractSet, Callable, Deque, Dict, Iterable, Optional, Set
 
 from repro.coherence.base import ScheduledController
 from repro.coherence.cache import CacheArray
@@ -22,8 +22,22 @@ from repro.noc.flit import Message
 from repro.sim.stats import Stats
 
 
+#: Shared placeholder for a line that has never had a sharer.
+_NO_SHARERS: AbstractSet[int] = frozenset()
+
+
 class DirLine:
-    """L2 line: data state plus directory sharing info."""
+    """L2 line: data state plus directory sharing info.
+
+    ``sharers`` starts as an empty ``frozenset`` shared by every line and
+    becomes a ``set`` of the line's own on its first addition, so the
+    hundreds of thousands of prewarmed lines that never gain a sharer
+    allocate nothing.  Read it or assign it a new set freely, but change
+    it in place only through the methods below.  They test the
+    placeholder by type, not identity, because a pickle round-trip
+    (checkpoints, shard replicas) gives every restored line a fresh
+    frozenset.
+    """
 
     __slots__ = ("dirty", "owner", "sharers", "busy")
 
@@ -31,9 +45,29 @@ class DirLine:
         self.dirty = False
         #: L1 holding the line in E/M (exclusive ownership), if any.
         self.owner: Optional[int] = None
-        self.sharers: Set[int] = set()
+        self.sharers: AbstractSet[int] = _NO_SHARERS
         #: A transaction is in flight for this line (requests must queue).
         self.busy = False
+
+    def add_sharer(self, node: int) -> None:
+        sharers = self.sharers
+        if type(sharers) is not set:
+            sharers = self.sharers = set()
+        sharers.add(node)
+
+    def add_sharers(self, nodes: Iterable[int]) -> None:
+        sharers = self.sharers
+        if type(sharers) is not set:
+            sharers = self.sharers = set()
+        sharers.update(nodes)
+
+    def discard_sharer(self, node: int) -> None:
+        if type(self.sharers) is set:  # the placeholder is empty
+            self.sharers.discard(node)
+
+    def clear_sharers(self) -> None:
+        if type(self.sharers) is set:  # the placeholder is already empty
+            self.sharers.clear()
 
 
 class _TxnKind(enum.Enum):
@@ -101,14 +135,11 @@ class L2BankController(ScheduledController):
             if owner is not None and line.owner is None and not line.sharers:
                 line.owner = owner
             return True
-        if not self.array.has_free_way(addr):
-            return False
         line = DirLine()
         line.owner = owner
         if sharers:
-            line.sharers.update(sharers)
-        self.array.install(addr, line)
-        return True
+            line.add_sharers(sharers)
+        return self.array.try_install(addr, line)
 
     # ------------------------------------------------------------------
     def receive(self, msg: Message, cycle: int) -> None:
@@ -272,10 +303,10 @@ class L2BankController(ScheduledController):
         assert line is not None
         if txn.is_write:
             line.owner = txn.requestor
-            line.sharers.clear()
+            line.clear_sharers()
         else:
             if line.sharers:
-                line.sharers.add(txn.requestor)
+                line.add_sharer(txn.requestor)
                 line.owner = None
             else:
                 line.owner = txn.requestor  # exclusive (E) grant
@@ -295,11 +326,11 @@ class L2BankController(ScheduledController):
             old_owner = line.owner
             if txn.is_write:
                 line.owner = txn.requestor
-                line.sharers.clear()
+                line.clear_sharers()
             else:
                 if old_owner is not None:
-                    line.sharers.add(old_owner)
-                line.sharers.add(txn.requestor)
+                    line.add_sharer(old_owner)
+                line.add_sharer(txn.requestor)
                 line.owner = None
                 line.dirty = True
             line.busy = False
@@ -340,7 +371,7 @@ class L2BankController(ScheduledController):
             line.owner = None
             line.dirty = line.dirty or msg.payload.exclusive
         elif line is not None:
-            line.sharers.discard(msg.src)
+            line.discard_sharer(msg.src)
         ack = self.factory.l2_wb_ack(self.node, msg.src, addr, msg)
         self.ni.enqueue(ack, cycle)
         if line is not None and not line.busy:

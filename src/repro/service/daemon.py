@@ -180,6 +180,9 @@ class Daemon:
         self._subscribers: Dict[str, List[queue.Queue]] = {}
         self._metric_buffers: Dict[str, List[list]] = {}
         self._stop = threading.Event()
+        #: Held for the whole of ``shutdown`` so a second caller waits
+        #: for the first to finish stopping the fleet.
+        self._shutdown_lock = threading.Lock()
         self._threads: List[threading.Thread] = []
         self._server: Optional[socket.socket] = None
         self._respawns = 0
@@ -220,27 +223,35 @@ class Daemon:
             self.shutdown()
 
     def shutdown(self) -> None:
-        if self._stop.is_set():
-            return
-        self._stop.set()
-        for thread in self._threads:
-            thread.join(timeout=5.0)
-        with self._lock:
-            workers, self._workers = self._workers, []
-        for worker in workers:
-            worker.stop()
-        if self._server is not None:
-            self._server.close()
-            from repro.service.protocol import parse_address
+        """Stop the fleet and close the socket.
 
-            parsed = parse_address(self.address)
-            if not isinstance(parsed, tuple):
-                try:
-                    os.unlink(parsed)
-                except OSError:
-                    pass
-        logger.info("daemon on %s shut down (%d respawns)",
-                    self.address, self._respawns)
+        Every caller returns only once the workers have exited: a
+        ``shutdown`` request runs this on a helper thread, and
+        ``serve_forever`` must not return (letting the process exit and
+        multiprocessing terminate the workers) before that thread is done.
+        """
+        with self._shutdown_lock:
+            if self._stop.is_set():
+                return
+            self._stop.set()
+            for thread in self._threads:
+                thread.join(timeout=5.0)
+            with self._lock:
+                workers, self._workers = self._workers, []
+            for worker in workers:
+                worker.stop()
+            if self._server is not None:
+                self._server.close()
+                from repro.service.protocol import parse_address
+
+                parsed = parse_address(self.address)
+                if not isinstance(parsed, tuple):
+                    try:
+                        os.unlink(parsed)
+                    except OSError:
+                        pass
+            logger.info("daemon on %s shut down (%d respawns)",
+                        self.address, self._respawns)
 
     # -- job intake ------------------------------------------------------
 

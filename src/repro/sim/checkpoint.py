@@ -62,8 +62,10 @@ from typing import Callable, Optional, Tuple
 
 from repro.sim.kernel import SimulationError
 
-#: On-disk layout version; bump on incompatible change.
-SCHEMA_VERSION = 1
+#: On-disk layout version; bump on incompatible change.  Schema 2: the
+#: pickled ``CacheArray`` is dense (no per-set objects) and
+#: ``DirLine.sharers`` may be an empty frozenset.
+SCHEMA_VERSION = 2
 
 MAGIC = b"RPROCKPT"
 

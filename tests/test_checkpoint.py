@@ -20,6 +20,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro.coherence.cache import CacheArray
+from repro.coherence.l2dir import DirLine
 from repro.cpu.workloads import workload_by_name
 from repro.sim.checkpoint import (
     MAGIC,
@@ -32,6 +34,7 @@ from repro.sim.checkpoint import (
     UnpicklableStateError,
     dumps_state,
     fingerprint,
+    loads_state,
     read_checkpoint,
     restore_system,
     resume_checkpointed,
@@ -209,6 +212,40 @@ def test_future_schema_is_incompatible(ckpt):
     _rewrite_header(ckpt, schema=SCHEMA_VERSION + 1)
     with pytest.raises(IncompatibleCheckpointError, match="schema"):
         read_checkpoint(ckpt)
+
+
+def test_schema_1_file_is_incompatible_not_an_attribute_error(tmp_path):
+    """Schema 1 pickled one object per cache set; restoring such a
+    payload into the dense array would fail late, on the first cache
+    access.  The header check must refuse it before anything unpickles."""
+    legacy = CacheArray.__new__(CacheArray)
+    legacy.__dict__.update(sets=1, ways=2, line_bytes=64, block_stride=1,
+                           _sets=[None], _where={0: 0})
+    payload = dumps_state({"system": legacy, "run": {}, "msg_ids": 0})
+    with pytest.raises(AttributeError):  # what an unchecked restore meets
+        loads_state(payload)["system"].peek(0)
+    path = str(tmp_path / "legacy.ckpt")
+    write_checkpoint(path, payload, kind="run", config_hash="cafe", cycle=0)
+    _rewrite_header(path, schema=1)
+    with pytest.raises(IncompatibleCheckpointError, match="schema 1"):
+        read_checkpoint(path, kind="run", config_hash="cafe")
+
+
+def test_empty_sharers_stay_mutable_after_pickle_round_trip():
+    """A line without sharers shares one empty frozenset; unpickling
+    gives it a different frozenset, so the placeholder must be
+    recognised by type, not by identity."""
+    line = loads_state(dumps_state(DirLine()))
+    line.clear_sharers()
+    line.discard_sharer(3)
+    assert not line.sharers
+    line.add_sharer(5)
+    assert line.sharers == {5}
+    line.discard_sharer(5)
+    line.add_sharers([6, 7])
+    assert line.sharers == {6, 7}
+    line.clear_sharers()
+    assert not line.sharers
 
 
 def test_wrong_kind_is_incompatible(ckpt):

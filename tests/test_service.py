@@ -236,3 +236,31 @@ def test_shutdown_op_stops_the_daemon(daemon):
     while time.time() < deadline and client.ping():
         time.sleep(0.05)
     assert not client.ping()
+
+
+def test_serve_forever_returns_after_workers_exit_on_their_own(tmp_path):
+    """A ``shutdown`` request stops the fleet on a helper thread while
+    ``serve_forever`` wakes up and calls ``shutdown`` too; the second
+    call must wait, or the process exits and multiprocessing terminates
+    the workers mid-stop."""
+    daemon = Daemon(str(tmp_path / "serve.sock"), workers=2,
+                    env=dict(os.environ))
+    server = threading.Thread(target=daemon.serve_forever)
+    server.start()
+    try:
+        client = ServiceClient(daemon.address)
+        deadline = time.time() + 30
+        while time.time() < deadline and not client.ping():
+            time.sleep(0.05)
+        assert client.ping()
+        with daemon._lock:
+            procs = [worker.proc for worker in daemon._workers]
+        assert len(procs) == 2
+        client.shutdown()
+        server.join(timeout=60)
+        assert not server.is_alive()
+        assert [proc.is_alive() for proc in procs] == [False, False]
+        assert [proc.exitcode for proc in procs] == [0, 0]
+    finally:
+        daemon.shutdown()
+        server.join(timeout=60)

@@ -57,3 +57,26 @@ def test_64_core_system_builds_and_steps():
     system.functional_prewarm()
     system.run_cycles(300)
     assert system.total_retired() > 0
+
+
+def test_build_and_prewarm_heap_stays_gc_light():
+    """Building and prewarming the full 16-core chip may add at most one
+    GC-tracked object per installed cache line plus a fixed allowance:
+    no per-set objects, no per-line empty sharer sets.  Every tracked
+    object is one more for each gen-2 collection to traverse."""
+    import gc
+
+    gc.collect()
+    before = len(gc.get_objects())
+    system = build_system(SystemConfig(n_cores=16, seed=1)
+                          .with_variant(Variant.COMPLETE_NOACK),
+                          workload_by_name("canneal"))
+    system.functional_prewarm()
+    gc.collect()
+    added = len(gc.get_objects()) - before
+    l2_lines = sum(tile.l2.array.occupancy() for tile in system.tiles)
+    l1_lines = sum(tile.l1.array.occupancy() for tile in system.tiles)
+    assert l2_lines > 100_000 and l1_lines > 5_000  # really prewarmed
+    assert added <= l2_lines + l1_lines + 10_000, (
+        f"{added} tracked objects for {l2_lines} L2 + {l1_lines} L1 lines"
+    )
